@@ -38,6 +38,12 @@ struct CcOptions {
   double gamma = 3.0;            // frontier-aware pull window; 0 disables
 };
 
+// `comp` is deterministic under every policy and thread count. The round
+// trace is not: labels are lowered in place, so a round may already read
+// labels written earlier in the same round. With one OpenMP thread that order
+// is fixed and so are `rounds`, `sequential_tail_rounds` and `round_dirs`;
+// with more, how far a label travels per round depends on thread scheduling,
+// and the same graph can take a different number of rounds from run to run.
 struct CcResult {
   std::vector<vid_t> comp;  // smallest vertex id in the component
   int rounds = 0;

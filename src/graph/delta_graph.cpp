@@ -24,8 +24,14 @@ SnapshotCsr::SnapshotCsr(std::shared_ptr<const Csr> base,
   PP_CHECK(std::is_sorted(touched_.begin(), touched_.end()));
   base_arcs_ = base_->num_arcs();
   arcs_ = base_arcs_ + static_cast<eid_t>(patch_adj_.size());
+  slot_of_.assign(static_cast<std::size_t>(base_->n()), -1);
   for (std::size_t s = 0; s < touched_.size(); ++s) {
-    arcs_ -= base_->degree(touched_[s]);
+    const vid_t v = touched_[s];
+    PP_CHECK(v >= 0 && v < base_->n());
+    auto& slot = slot_of_[static_cast<std::size_t>(v)];
+    PP_CHECK(slot < 0 && "touched list must be duplicate-free");
+    slot = static_cast<std::int32_t>(s);
+    arcs_ -= base_->degree(v);
   }
 }
 

@@ -24,10 +24,13 @@
 // by the overlay read straight from the sealed base (same spans, same edge
 // ids — bit-for-bit the static layout); touched vertices read from a patched
 // adjacency materialized at snapshot time, addressed by edge ids offset past
-// the base arc range. SnapshotCsr models the CsrLike concept
-// (graph/csr.hpp), and SnapshotView pairs two of them (out + in; aliased for
-// symmetric graphs) to model the engine's GraphView concept — every edge_map
-// loop shape and every core kernel runs on a snapshot unmodified.
+// the base arc range. Every per-vertex read resolves base-or-patch in O(1)
+// through a dense slot index (4·n bytes per side, filled once per snapshot),
+// so the cost of a read does not grow with the overlay. SnapshotCsr models
+// the CsrLike concept (graph/csr.hpp), and SnapshotView pairs two of them
+// (out + in; aliased for symmetric graphs) to model the engine's GraphView
+// concept — every edge_map loop shape and every core kernel runs on a
+// snapshot unmodified.
 //
 // Thread model: one writer thread owns add_edge/remove_edge/commit/compact;
 // snapshot() and the read-only queries may be called from any thread
@@ -83,8 +86,9 @@ class SnapshotCsr {
  public:
   SnapshotCsr() = default;
 
-  // Assembled by DeltaGraph; `touched` sorted ascending, `patch_off` spans
-  // `patch_adj` (and `patch_w` when the base is weighted).
+  // Assembled by DeltaGraph; `touched` sorted ascending and duplicate-free
+  // (it fills the slot index), `patch_off` spans `patch_adj` (and `patch_w`
+  // when the base is weighted).
   SnapshotCsr(std::shared_ptr<const Csr> base, std::vector<vid_t> touched,
               std::vector<eid_t> patch_off, std::vector<vid_t> patch_adj,
               std::vector<weight_t> patch_w);
@@ -158,23 +162,14 @@ class SnapshotCsr {
  private:
   // Index into the patch arrays, or -1 when v reads from the base.
   int slot(vid_t v) const noexcept {
-    // Binary search over the (typically small) touched list.
-    std::size_t lo = 0, hi = touched_.size();
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (touched_[mid] < v) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo < touched_.size() && touched_[lo] == v ? static_cast<int>(lo) : -1;
+    return slot_of_[static_cast<std::size_t>(v)];
   }
 
   std::shared_ptr<const Csr> base_;
   eid_t base_arcs_ = 0;
   eid_t arcs_ = 0;
   std::vector<vid_t> touched_;
+  std::vector<std::int32_t> slot_of_;  // n entries: patch slot, or -1 (base)
   std::vector<eid_t> patch_off_{0};
   std::vector<vid_t> patch_adj_;
   std::vector<weight_t> patch_w_;

@@ -140,47 +140,43 @@ void GraphService::worker_loop() {
     std::vector<Pending> batch;
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
-    const Pending& head = batch.front();
-
-    // Batching window: hold a single-source query open and merge compatible
-    // arrivals (same algorithm, epoch, policy) into its pass, up to
-    // max_lanes or until the window closes.
-    const bool batchable =
-        (head.req.algo == Algo::Bfs || head.req.algo == Algo::Sssp) &&
-        opt_.batch_window_us > 0 && opt_.max_lanes > 1;
-    if (batchable) {
-      const auto deadline =
-          clock::now() + std::chrono::microseconds(opt_.batch_window_us);
-      for (;;) {
-        for (auto it = queue_.begin();
-             it != queue_.end() &&
-             batch.size() < static_cast<std::size_t>(opt_.max_lanes);) {
-          if (it->req.algo == head.req.algo && it->epoch == head.epoch &&
-              it->req.policy == head.req.policy) {
-            batch.push_back(std::move(*it));
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        if (stopping_ ||
-            batch.size() >= static_cast<std::size_t>(opt_.max_lanes) ||
-            cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
-          break;
-        }
-      }
-      // Window closed: one last harvest of anything that raced the timeout.
+    // The head's key is copied out, not referenced: push_back below may
+    // reallocate `batch` and free batch.front().
+    const Algo algo = batch.front().req.algo;
+    const epoch_t epoch = batch.front().epoch;
+    const engine::StrategyKind policy = batch.front().req.policy;
+    const auto lanes = static_cast<std::size_t>(opt_.max_lanes);
+    // Move every queued query compatible with the head into the batch.
+    auto harvest = [&] {
       for (auto it = queue_.begin();
-           it != queue_.end() &&
-           batch.size() < static_cast<std::size_t>(opt_.max_lanes);) {
-        if (it->req.algo == head.req.algo && it->epoch == head.epoch &&
-            it->req.policy == head.req.policy) {
+           it != queue_.end() && batch.size() < lanes;) {
+        if (it->req.algo == algo && it->epoch == epoch &&
+            it->req.policy == policy) {
           batch.push_back(std::move(*it));
           it = queue_.erase(it);
         } else {
           ++it;
         }
       }
+    };
+
+    // Batching window: hold a single-source query open and merge compatible
+    // arrivals (same algorithm, epoch, policy) into its pass, up to
+    // max_lanes or until the window closes.
+    const bool batchable = (algo == Algo::Bfs || algo == Algo::Sssp) &&
+                           opt_.batch_window_us > 0 && opt_.max_lanes > 1;
+    if (batchable) {
+      const auto deadline =
+          clock::now() + std::chrono::microseconds(opt_.batch_window_us);
+      for (;;) {
+        harvest();
+        if (stopping_ || batch.size() >= lanes ||
+            cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
+          break;
+        }
+      }
+      // Window closed: one last harvest of anything that raced the timeout.
+      harvest();
     }
     m.gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
     if (!queue_.empty()) cv_.notify_one();

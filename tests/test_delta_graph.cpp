@@ -6,9 +6,11 @@
 // job runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -308,6 +310,140 @@ TEST(DeltaGraph, ConcurrentWriterAndSnapshotReaders) {
     ASSERT_EQ(arcs, snap.num_arcs());
   } while (!stop.load(std::memory_order_acquire));
   writer.join();
+}
+
+// --- The slot index: O(1) reads over any touched set --------------------------
+
+// A DeltaGraph beside a std::set model of its visible arcs.
+struct ModeledDelta {
+  DeltaGraph dg;
+  bool symmetric;
+  std::set<std::pair<vid_t, vid_t>> arcs;
+
+  template <class Base>
+  ModeledDelta(Base base, bool sym) : dg(std::move(base)), symmetric(sym) {
+    const SnapshotView snap = dg.snapshot();
+    for (vid_t v = 0; v < dg.n(); ++v) {
+      for (vid_t u : snap.out().neighbors(v)) arcs.emplace(v, u);
+    }
+  }
+
+  // Insert arc u→v when absent, remove it when present.
+  void toggle(vid_t u, vid_t v) {
+    if (arcs.count({u, v}) != 0) {
+      ASSERT_TRUE(dg.remove_edge(u, v));
+      arcs.erase({u, v});
+      if (symmetric) arcs.erase({v, u});
+    } else {
+      ASSERT_TRUE(dg.add_edge(u, v, 0.5f + static_cast<float>((u + v) % 7)));
+      arcs.emplace(u, v);
+      if (symmetric) arcs.emplace(v, u);
+    }
+  }
+};
+
+// Every read of one snapshot side agrees with the model and with the
+// materialized CSR, and the edge ids of [edge_begin, edge_end) map back to
+// neighbors(v) and weights(v) through edge_target and edge_weight.
+void expect_side_reads_exact(const SnapshotCsr& g,
+                             const std::set<std::pair<vid_t, vid_t>>& arcs,
+                             bool transposed, const std::string& what) {
+  const Csr flat = g.materialize();
+  ASSERT_EQ(flat.n(), g.n()) << what;
+  ASSERT_EQ(flat.num_arcs(), g.num_arcs()) << what;
+  ASSERT_EQ(static_cast<std::size_t>(g.num_arcs()), arcs.size()) << what;
+  for (vid_t v = 0; v < g.n(); ++v) {
+    const auto nb = g.neighbors(v);
+    ASSERT_EQ(g.degree(v), flat.degree(v)) << what << " v " << v;
+    ASSERT_EQ(nb.size(), static_cast<std::size_t>(g.degree(v))) << what;
+    ASSERT_TRUE(std::ranges::equal(nb, flat.neighbors(v))) << what << " v " << v;
+    for (vid_t u : nb) {
+      ASSERT_EQ(arcs.count(transposed ? std::pair{u, v} : std::pair{v, u}), 1u)
+          << what << " v " << v << " u " << u;
+    }
+    if (g.has_weights()) {
+      ASSERT_TRUE(std::ranges::equal(g.weights(v), flat.weights(v)))
+          << what << " v " << v;
+    }
+    const eid_t b = g.edge_begin(v);
+    ASSERT_EQ(g.edge_end(v) - b, static_cast<eid_t>(g.degree(v))) << what;
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      const eid_t e = b + static_cast<eid_t>(i);
+      ASSERT_EQ(g.edge_target(e), nb[i]) << what << " v " << v;
+      if (g.has_weights()) {
+        ASSERT_EQ(g.edge_weight(e), g.weights(v)[i]) << what << " v " << v;
+      }
+    }
+  }
+}
+
+void expect_snapshot_reads_exact(const ModeledDelta& md,
+                                 const std::string& what) {
+  const SnapshotView snap = md.dg.snapshot();
+  expect_side_reads_exact(snap.out(), md.arcs, false, what + " out");
+  if (!md.symmetric) {
+    expect_side_reads_exact(snap.in(), md.arcs, true, what + " in");
+  }
+}
+
+void slot_index_edge_cases(ModeledDelta& md, const std::string& name) {
+  const vid_t n = md.dg.n();
+  ASSERT_GE(n, 2);
+  auto touched = [&] {
+    const SnapshotView snap = md.dg.snapshot();
+    const auto t = snap.out().touched();
+    return std::vector<vid_t>(t.begin(), t.end());
+  };
+
+  // Nothing touched: every vertex reads from the base.
+  EXPECT_TRUE(touched().empty()) << name;
+  expect_snapshot_reads_exact(md, name + " untouched");
+
+  // The first and last vertex: the index's boundary entries.
+  md.toggle(0, n - 1);
+  if (!md.symmetric) md.toggle(n - 1, 0);
+  md.dg.commit();
+  ASSERT_EQ(touched().size(), 2u) << name;
+  EXPECT_EQ(touched().front(), 0) << name;
+  EXPECT_EQ(touched().back(), n - 1) << name;
+  expect_snapshot_reads_exact(md, name + " ends");
+
+  // Every vertex touched: no read falls through to the base.
+  for (vid_t v = 0; v < n; ++v) md.toggle(v, v);
+  md.dg.commit();
+  EXPECT_EQ(touched().size(), static_cast<std::size_t>(n)) << name;
+  if (!md.symmetric) {
+    EXPECT_EQ(md.dg.snapshot().in().touched().size(),
+              static_cast<std::size_t>(n))
+        << name;
+  }
+  expect_snapshot_reads_exact(md, name + " all");
+
+  // Compaction folds the overlay into a fresh base; the index of a snapshot
+  // over it starts empty and refills from the next commit.
+  md.dg.compact();
+  EXPECT_TRUE(touched().empty()) << name;
+  expect_snapshot_reads_exact(md, name + " compacted");
+  for (vid_t v = 0; v < n; v += 3) md.toggle(v, n - 1 - v);
+  md.dg.commit();
+  EXPECT_FALSE(touched().empty()) << name;
+  expect_snapshot_reads_exact(md, name + " after compact");
+}
+
+TEST(SnapshotSlotIndex, EdgeCasesOnSymmetricGraph) {
+  for (const auto& entry : pushpull::testing::weighted_zoo()) {
+    if (entry.name != "w_ba300" && entry.name != "w_path50") continue;
+    ModeledDelta md(Csr(entry.graph), /*sym=*/true);
+    slot_index_edge_cases(md, entry.name);
+  }
+}
+
+TEST(SnapshotSlotIndex, EdgeCasesOnDigraph) {
+  for (const auto& entry : pushpull::testing::digraph_zoo()) {
+    ModeledDelta md(Digraph{Csr(entry.graph.out), Csr(entry.graph.in)},
+                    /*sym=*/false);
+    slot_index_edge_cases(md, entry.name);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // zoo, the multi-writer record path (exercised under TSan in CI), the metrics
 // registry, and the JsonWriter escaping fix.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <atomic>
 #include <cstdio>
@@ -279,34 +280,47 @@ TEST(Tracer, RecordRoundCarriesDecisionInputs) {
 
 // --- tracer-on/off differential: tracing must not change results -------------
 
+// CC's round count is pinned at one thread only: above that it depends on
+// thread scheduling (see CcResult), so only its labels are compared there.
+// The second pass runs at the process's thread count (OMP_NUM_THREADS=1 under
+// TSan, whose view of libgomp is blind).
 TEST(TracerDifferential, KernelsBitIdenticalWithTracerOn) {
-  for (const auto& entry : pushpull::testing::unweighted_zoo()) {
-    const Csr& g = entry.graph;
-    obs::Tracer t;
+  const int saved_threads = omp_get_max_threads();
+  for (const int threads : {1, saved_threads}) {
+    omp_set_num_threads(threads);
+    for (const auto& entry : pushpull::testing::unweighted_zoo()) {
+      const Csr& g = entry.graph;
+      const std::string where =
+          entry.name + " threads " + std::to_string(threads);
+      obs::Tracer t;
 
-    CcOptions cc_opt;
-    cc_opt.strategy = engine::StrategyKind::GreedySwitch;
-    const CcResult cc_off = connected_components(g, cc_opt);
-    const CcResult cc_on =
-        connected_components(g, cc_opt, NullInstr{}, &t);
-    EXPECT_EQ(cc_off.comp, cc_on.comp) << entry.name;
-    EXPECT_EQ(cc_off.rounds, cc_on.rounds) << entry.name;
+      CcOptions cc_opt;
+      cc_opt.strategy = engine::StrategyKind::GreedySwitch;
+      const CcResult cc_off = connected_components(g, cc_opt);
+      const CcResult cc_on =
+          connected_components(g, cc_opt, NullInstr{}, &t);
+      EXPECT_EQ(cc_off.comp, cc_on.comp) << where;
+      if (threads == 1) {
+        EXPECT_EQ(cc_off.rounds, cc_on.rounds) << where;
+      }
 
-    const BfsResult bfs_off = bfs_direction_optimizing(g, 0);
-    const BfsResult bfs_on =
-        bfs_direction_optimizing(g, 0, {}, NullInstr{}, &t);
-    EXPECT_EQ(bfs_off.dist, bfs_on.dist) << entry.name;
-    EXPECT_EQ(bfs_off.parent, bfs_on.parent) << entry.name;
+      const BfsResult bfs_off = bfs_direction_optimizing(g, 0);
+      const BfsResult bfs_on =
+          bfs_direction_optimizing(g, 0, {}, NullInstr{}, &t);
+      EXPECT_EQ(bfs_off.dist, bfs_on.dist) << where;
+      EXPECT_EQ(bfs_off.parent, bfs_on.parent) << where;
 
-    PageRankOptions pr_opt;
-    pr_opt.iterations = 5;
-    const std::vector<double> pr_off = pagerank_pull(g, pr_opt);
-    const std::vector<double> pr_on =
-        pagerank_pull(g, pr_opt, NullInstr{}, &t);
-    EXPECT_EQ(pr_off, pr_on) << entry.name;  // bit-identical, not approximate
+      PageRankOptions pr_opt;
+      pr_opt.iterations = 5;
+      const std::vector<double> pr_off = pagerank_pull(g, pr_opt);
+      const std::vector<double> pr_on =
+          pagerank_pull(g, pr_opt, NullInstr{}, &t);
+      EXPECT_EQ(pr_off, pr_on) << where;  // bit-identical, not approximate
 
-    EXPECT_GT(t.recorded(), 0u) << entry.name;
+      EXPECT_GT(t.recorded(), 0u) << where;
+    }
   }
+  omp_set_num_threads(saved_threads);
 }
 
 TEST(TracerDifferential, DeltaGraphCommitSpansDoNotChangeState) {

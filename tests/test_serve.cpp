@@ -406,6 +406,79 @@ TEST(GraphServiceBatching, MergesCompatibleQueriesAndStaysExact) {
   EXPECT_LT(st.batches, static_cast<std::uint64_t>(kQueries));
 }
 
+// The batcher must compare queued queries against the head's key, not against
+// a reference into the growing batch: merging enough compatible queries
+// reallocates the batch and frees the head (ASan reports the stale read; a
+// normal build may merge a CC or wrong-epoch query into the BFS pass). One
+// worker is held busy by a PageRank while a BFS head, 20 compatible BFS
+// queries and incompatible ones between them queue up; every answer must
+// carry its own algorithm and epoch and equal the standalone run.
+TEST(GraphServiceBatching, HarvestAfterBatchReallocationStaysExact) {
+  DeltaGraph dg(make_undirected_weighted(
+      4096, rmat_edges(12, 16, 71), 1.0f, 4.0f, 73));
+  const epoch_t e0 = dg.epoch();
+  dg.add_edge(0, 4095, 1.5f);
+  dg.add_edge(1, 4094, 2.5f);
+  const epoch_t e1 = dg.commit();
+
+  serve::ServiceOptions opt;
+  opt.workers = 1;
+  opt.batch_window_us = 20000;
+  opt.cache_entries = 0;  // every query executes
+  GraphService svc(dg, opt);
+
+  std::vector<QueryRequest> reqs;
+  auto add = [&](Algo algo, vid_t source, epoch_t e) {
+    QueryRequest req;
+    req.algo = algo;
+    req.source = source;
+    req.pin_epoch = e;
+    reqs.push_back(req);
+  };
+  add(Algo::PageRank, 0, e1);  // occupies the worker while the rest queue
+  add(Algo::Bfs, 0, e0);       // the batch head
+  for (vid_t i = 1; i <= 20; ++i) {
+    add(Algo::Bfs, 5 * i, e0);  // compatible: forces batch reallocations
+    if (i % 4 == 0) add(Algo::Cc, 0, e0);
+    if (i % 4 == 2) add(Algo::Bfs, 5 * i, e1);
+  }
+  std::vector<std::future<QueryResult>> futs;
+  for (const QueryRequest& req : reqs) futs.push_back(svc.submit(req));
+
+  int max_lanes = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const QueryRequest& req = reqs[i];
+    const QueryResult r = futs[i].get();
+    ASSERT_TRUE(r.ok) << r.reject_detail;
+    ASSERT_EQ(r.algo, req.algo) << "query " << i;
+    ASSERT_EQ(r.epoch, req.pin_epoch) << "query " << i;
+    const SnapshotView snap = dg.snapshot(req.pin_epoch);
+    switch (req.algo) {
+      case Algo::Bfs:
+        max_lanes = std::max(max_lanes, r.batch_lanes);
+        EXPECT_EQ(r.levels, serve::run_bfs(snap, req.source, req.policy))
+            << "query " << i;
+        break;
+      case Algo::Cc:
+        EXPECT_EQ(r.comp, serve::run_cc(snap)) << "query " << i;
+        break;
+      case Algo::PageRank: {
+        // Not bitwise above one OpenMP thread: the dangling-mass reduction
+        // combines per-thread partial sums in arrival order.
+        const std::vector<double> want = serve::run_pagerank(snap);
+        ASSERT_EQ(r.ranks.size(), want.size());
+        for (std::size_t v = 0; v < want.size(); ++v) {
+          ASSERT_NEAR(r.ranks[v], want[v], 1e-12) << "vertex " << v;
+        }
+        break;
+      }
+      case Algo::Sssp:
+        FAIL() << "no SSSP query was sent";
+    }
+  }
+  EXPECT_GT(max_lanes, 4);  // the head's pass outgrew several capacities
+}
+
 // --- Service: lifecycle ------------------------------------------------------
 
 TEST(GraphServiceLifecycle, StopIsIdempotentAndDtorSafe) {
